@@ -91,7 +91,7 @@ func TestEmitBenchJSON(t *testing.T) {
 		}},
 		{"incremental_rebuild_sb", func(b *testing.B) {
 			// Single-table churn: replace one SB table with a modified
-			// variant every iteration, so Changed is non-empty and Rebuild
+			// variant every iteration, so Changed is non-empty and RebuildDiff
 			// runs real delta surgery (dirty-attribute refill, occurrence
 			// deltas, CSR re-stitch) — never its no-op fast path. Compare
 			// ns/op against graph_build_sb for the delta-pricing win.
@@ -114,7 +114,7 @@ func TestEmitBenchJSON(t *testing.T) {
 				churn.Lake.RemoveTable(orig.Name)
 				churn.Lake.MustAdd(variants[(i+1)%2])
 				attrs := churn.Lake.Attributes()
-				g = bipartite.Rebuild(g, attrs, bipartite.Changed(g, attrs), bipartite.Options{})
+				g, _ = bipartite.RebuildDiff(g, attrs, bipartite.Changed(g, attrs), bipartite.Options{})
 			}
 		}},
 		{"cold_start_sb", func(b *testing.B) {
@@ -222,70 +222,22 @@ func TestEmitBenchJSON(t *testing.T) {
 					b.Fatal(err)
 				}
 				attrs := l.Attributes()
-				if g := bipartite.Rebuild(baseGraph, attrs, bipartite.Changed(baseGraph, attrs),
+				if g, _ := bipartite.RebuildDiff(baseGraph, attrs, bipartite.Changed(baseGraph, attrs),
 					bipartite.Options{}); g.NumEdges() == 0 {
 					b.Fatal("empty graph")
 				}
 			}
 		}},
-		{"follower_catchup_sb", func(b *testing.B) {
+		{"follower_catchup_compressed_sb", func(b *testing.B) {
 			// Replication round trip: a fresh follower bootstraps from the
 			// leader's snapshot stream, then tails 8 mutation bursts through
 			// the change feed — each applied via the same incremental
 			// rebuild path the leader's own writes take. The leader serves
 			// the SB lake; mutations are add/remove pairs, so state stays
-			// baseline-sized across iterations. RawBootstrap pins the legacy
-			// unframed transfer: this stage is the wire-bytes baseline that
-			// follower_catchup_compressed_sb is measured against.
-			dir, err := os.MkdirTemp("", "domainnet-bench-repl")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			wlog, err := wal.Open(dir, wal.Options{NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer wlog.Close()
-			ld := repl.NewLeader(wlog)
-			leader := serve.NewWithOptions(datagen.NewSB(1).Lake,
-				domainnet.Config{Measure: domainnet.DegreeBaseline},
-				serve.Options{OnCommit: ld.OnCommit})
-			ld.Attach(leader)
-			ts := httptest.NewServer(leader)
-			defer ts.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f := &repl.Follower{Leader: ts.URL, RawBootstrap: true,
-					Config: domainnet.Config{Measure: domainnet.DegreeBaseline}}
-				if err := f.Bootstrap(ctx); err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < 4; j++ {
-					t := table.New(fmt.Sprintf("churn%d", j)).
-						AddColumn("animal", "jaguar", fmt.Sprintf("beast%d", j))
-					if _, err := leader.Apply([]*table.Table{t}, nil); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := leader.Apply(nil, []string{t.Name}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for f.Version() != leader.Version() {
-					if _, err := f.Poll(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}},
-		{"follower_catchup_compressed_sb", func(b *testing.B) {
-			// The same replication round trip over the default chunked
-			// bootstrap: the snapshot crosses the wire as CRC'd, per-chunk
-			// gzipped, resumable frames. The stage asserts the headline —
-			// the bootstrap must move at least 2x fewer bytes than the raw
-			// codec it frames (compare ns/op against follower_catchup_sb
-			// for the CPU cost of that shrink).
+			// baseline-sized across iterations. The snapshot crosses the
+			// wire as CRC'd, resumable frames, each gzipped when that pays.
+			// The stage asserts the headline — the bootstrap must move at
+			// least 2x fewer bytes than the raw codec it frames.
 			dir, err := os.MkdirTemp("", "domainnet-bench-replgz")
 			if err != nil {
 				b.Fatal(err)

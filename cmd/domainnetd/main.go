@@ -24,7 +24,9 @@
 //	POST   /tables/{name}          add a table (request body: CSV)
 //	DELETE /tables/{name}          remove a table
 //	GET    /repl/changes?from=V    replication change feed (leader, with -wal)
-//	GET    /repl/snapshot          replication state transfer (leader, with -wal)
+//	GET    /repl/snapshot          replication state transfer in CRC'd chunks,
+//	                               resumable with ?offset=N&version=V (leader,
+//	                               with -wal)
 //
 // Reads never block on writes: each response is served from the snapshot
 // current when it arrived, stamped with the lake version it reflects.
@@ -396,7 +398,7 @@ func runLeader(ctx context.Context, c *config, stop func()) error {
 				// up to the replayed mutations incrementally so the serving
 				// layer still warm-starts without a full build.
 				attrs := l.Attributes()
-				warmGraph = bipartite.Rebuild(warmGraph, attrs, bipartite.Changed(warmGraph, attrs),
+				warmGraph, _ = bipartite.RebuildDiff(warmGraph, attrs, bipartite.Changed(warmGraph, attrs),
 					bipartite.Options{KeepSingletons: c.keep, Workers: c.workers})
 			}
 		}

@@ -254,7 +254,7 @@ func FromGraphWithPrior(g *bipartite.Graph, cfg Config, prev *Detector, diff *bi
 }
 
 // Update returns a detector reflecting the lake's current state, rebuilding
-// the graph incrementally from the receiver's snapshot (bipartite.Rebuild):
+// the graph incrementally from the receiver's snapshot (bipartite.RebuildDiff):
 // unchanged attributes keep their interned values and adjacency, so
 // single-table churn costs far less than New. When nothing structural
 // changed the receiver itself is returned, score and ranking caches intact

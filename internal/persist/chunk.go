@@ -45,11 +45,12 @@ const (
 	chunkGzip   = 1
 )
 
-// ChunkWriter frames raw byte runs into chunk frames on w, optionally
-// gzip-compressing each payload (falling back to stored when compression
-// does not shrink the chunk). It reuses one gzip encoder and one scratch
-// buffer across chunks. Wire accumulates the framed bytes actually written,
-// which the bench emitter compares against the raw snapshot size.
+// ChunkWriter frames raw byte runs into chunk frames on w, gzip-compressing
+// each payload and keeping it stored when compression does not shrink it,
+// so the encoding is chosen per chunk from the measured ratio. It reuses
+// one gzip encoder and one scratch buffer across chunks. Wire accumulates
+// the framed bytes actually written, which the bench emitter compares
+// against the raw snapshot size.
 type ChunkWriter struct {
 	w    io.Writer
 	gz   *gzip.Writer
@@ -64,15 +65,15 @@ func NewChunkWriter(w io.Writer) *ChunkWriter {
 	return &ChunkWriter{w: w}
 }
 
-// WriteChunk frames one raw chunk, gzip-compressed when compress is set and
-// compression actually shrinks it. raw must not exceed maxChunkBytes.
-func (cw *ChunkWriter) WriteChunk(raw []byte, compress bool) error {
+// WriteChunk frames one raw chunk, gzip-compressed when that shrinks it and
+// stored otherwise. raw must not exceed maxChunkBytes.
+func (cw *ChunkWriter) WriteChunk(raw []byte) error {
 	if len(raw) > maxChunkBytes {
 		return fmt.Errorf("persist: chunk of %d bytes exceeds limit %d", len(raw), maxChunkBytes)
 	}
 	flag := byte(chunkStored)
 	payload := raw
-	if compress && len(raw) > 0 {
+	if len(raw) > 0 {
 		cw.buf.Reset()
 		if cw.gz == nil {
 			cw.gz = gzip.NewWriter(&cw.buf)
@@ -114,14 +115,14 @@ func (cw *ChunkWriter) WriteChunk(raw []byte, compress bool) error {
 // non-positive) starting at raw offset from, and frames each onto w. It
 // returns the framed byte count. The leader's snapshot handler is this plus
 // HTTP headers.
-func WriteChunked(w io.Writer, buf []byte, from int, chunkBytes int, compress bool) (int64, error) {
+func WriteChunked(w io.Writer, buf []byte, from int, chunkBytes int) (int64, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
 	cw := NewChunkWriter(w)
 	for off := from; off < len(buf); off += chunkBytes {
 		end := min(off+chunkBytes, len(buf))
-		if err := cw.WriteChunk(buf[off:end], compress); err != nil {
+		if err := cw.WriteChunk(buf[off:end]); err != nil {
 			return cw.Wire, err
 		}
 	}

@@ -37,27 +37,25 @@ func readAllChunks(t *testing.T, stream []byte) ([]byte, int) {
 }
 
 func TestChunkRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		for _, size := range []int{0, 1, 100, DefaultChunkBytes, DefaultChunkBytes + 1, 3*DefaultChunkBytes - 7} {
-			payload := chunkPayload(size)
-			var out bytes.Buffer
-			wire, err := WriteChunked(&out, payload, 0, 0, compress)
-			if err != nil {
-				t.Fatalf("WriteChunked(size %d, compress %v): %v", size, compress, err)
-			}
-			if wire != int64(out.Len()) {
-				t.Errorf("Wire = %d, stream has %d bytes", wire, out.Len())
-			}
-			got, gotWire := readAllChunks(t, out.Bytes())
-			if !bytes.Equal(got, payload) {
-				t.Fatalf("round trip of %d bytes (compress %v) corrupted the payload", size, compress)
-			}
-			if gotWire != out.Len() {
-				t.Errorf("reader consumed %d wire bytes, stream has %d", gotWire, out.Len())
-			}
-			if compress && size >= 100 && int64(out.Len()) >= int64(size) {
-				t.Errorf("compressed stream of %d repetitive bytes did not shrink (%d on the wire)", size, out.Len())
-			}
+	for _, size := range []int{0, 1, 100, DefaultChunkBytes, DefaultChunkBytes + 1, 3*DefaultChunkBytes - 7} {
+		payload := chunkPayload(size)
+		var out bytes.Buffer
+		wire, err := WriteChunked(&out, payload, 0, 0)
+		if err != nil {
+			t.Fatalf("WriteChunked(size %d): %v", size, err)
+		}
+		if wire != int64(out.Len()) {
+			t.Errorf("Wire = %d, stream has %d bytes", wire, out.Len())
+		}
+		got, gotWire := readAllChunks(t, out.Bytes())
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("round trip of %d bytes corrupted the payload", size)
+		}
+		if gotWire != out.Len() {
+			t.Errorf("reader consumed %d wire bytes, stream has %d", gotWire, out.Len())
+		}
+		if size >= 100 && int64(out.Len()) >= int64(size) {
+			t.Errorf("stream of %d repetitive bytes did not shrink (%d on the wire)", size, out.Len())
 		}
 	}
 }
@@ -68,12 +66,12 @@ func TestChunkResumeOffset(t *testing.T) {
 	payload := chunkPayload(1000)
 	const chunk = 256
 	var full bytes.Buffer
-	if _, err := WriteChunked(&full, payload, 0, chunk, true); err != nil {
+	if _, err := WriteChunked(&full, payload, 0, chunk); err != nil {
 		t.Fatal(err)
 	}
 	resumeAt := 2 * chunk
 	var rest bytes.Buffer
-	if _, err := WriteChunked(&rest, payload, resumeAt, chunk, true); err != nil {
+	if _, err := WriteChunked(&rest, payload, resumeAt, chunk); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := readAllChunks(t, rest.Bytes())
@@ -92,11 +90,14 @@ func TestChunkStoredFallback(t *testing.T) {
 		payload[i] = byte(st >> 24)
 	}
 	var out bytes.Buffer
-	if _, err := WriteChunked(&out, payload, 0, 0, true); err != nil {
+	if _, err := WriteChunked(&out, payload, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() > len(payload)+16 {
 		t.Errorf("incompressible chunk grew from %d to %d bytes on the wire", len(payload), out.Len())
+	}
+	if flag := out.Bytes()[0]; flag != chunkStored {
+		t.Errorf("incompressible chunk framed with flag %d, want stored", flag)
 	}
 	got, _ := readAllChunks(t, out.Bytes())
 	if !bytes.Equal(got, payload) {
@@ -107,7 +108,7 @@ func TestChunkStoredFallback(t *testing.T) {
 func TestChunkCorruption(t *testing.T) {
 	payload := chunkPayload(512)
 	var out bytes.Buffer
-	if _, err := WriteChunked(&out, payload, 0, 0, true); err != nil {
+	if _, err := WriteChunked(&out, payload, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	stream := out.Bytes()
@@ -152,10 +153,11 @@ func TestChunkCorruption(t *testing.T) {
 
 func FuzzReadChunk(f *testing.F) {
 	var seed bytes.Buffer
-	WriteChunked(&seed, chunkPayload(300), 0, 128, true) //nolint:errcheck // corpus seeding
+	WriteChunked(&seed, chunkPayload(300), 0, 128) //nolint:errcheck // corpus seeding
 	f.Add(seed.Bytes())
+	// Too short for gzip to pay: framed stored.
 	var stored bytes.Buffer
-	WriteChunked(&stored, chunkPayload(50), 0, 0, false) //nolint:errcheck // corpus seeding
+	WriteChunked(&stored, chunkPayload(5), 0, 0) //nolint:errcheck // corpus seeding
 	f.Add(stored.Bytes())
 	f.Add([]byte{chunkGzip, 4, 0, 0, 0, 2, 0, 0, 0, 'x', 'y', 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,10 +6,10 @@
 // What is persisted is deliberately the *derived* state, not just the data:
 // the graph's interned value strings, CSR adjacency spans and occurrence
 // counts are the expensive part of startup, and they are exactly what the
-// incremental rebuild path (bipartite.Rebuild) needs to keep pricing updates
-// by their delta after the restart. The lake's raw tables ride along so the
-// loader can re-wire the graph to a live lake.Attributes() slice, restoring
-// the pointer-identity change detection of bipartite.Changed.
+// incremental rebuild path (bipartite.RebuildDiff) needs to keep pricing
+// updates by their delta after the restart. The lake's raw tables ride along
+// so the loader can re-wire the graph to a live lake.Attributes() slice,
+// restoring the pointer-identity change detection of bipartite.Changed.
 //
 // Format: a 4-byte magic, a uvarint format version, the body (lake section,
 // then an optional graph section), and a CRC-32 trailer over everything
@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -121,8 +120,8 @@ func Load(path string) (*Snapshot, error) {
 
 // Unmarshal decodes complete snapshot bytes produced by Marshal, verifying
 // the magic, checksum and format version. It is the pure inverse of Marshal:
-// Load is ReadFile + Unmarshal, and the replication follower applies it to a
-// snapshot fetched over HTTP instead of from disk. Corrupt or truncated
+// Load is ReadFile + Unmarshal, and the replication follower applies it to
+// the snapshot it reassembles from the leader's chunk stream. Corrupt or truncated
 // input yields an error, never a panic (FuzzLoad holds the decoder to that).
 func Unmarshal(buf []byte) (*Snapshot, error) {
 	if len(buf) < len(magic)+4 || [4]byte(buf[:4]) != magic {
@@ -138,17 +137,6 @@ func Unmarshal(buf []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return sn, nil
-}
-
-// Decode reads a complete snapshot stream — the bytes Save puts on disk,
-// which the replication leader also streams over /repl/snapshot — and
-// decodes it. The replication follower bootstraps with it.
-func Decode(r io.Reader) (*Snapshot, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return Unmarshal(buf)
 }
 
 // --- encoding ---

@@ -10,9 +10,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"domainnet/internal/persist"
 	"domainnet/internal/serve"
 	"domainnet/internal/table"
 )
@@ -125,7 +127,7 @@ func TestChunkedBootstrapCompressesWire(t *testing.T) {
 
 func TestBootstrapResumesTornStream(t *testing.T) {
 	leader, ld, ts := newLeader(t)
-	ld.SnapshotChunkBytes = 512
+	ld.chunkBytes = 512
 	// Grow the snapshot well past a handful of chunks so two mid-stream cuts
 	// cannot accidentally deliver the whole thing.
 	growLake(t, leader, 30)
@@ -192,7 +194,7 @@ func tsHandler(ts *httptest.Server) http.Handler {
 
 func TestBootstrapRestartsWhenSnapshotMoves(t *testing.T) {
 	leader, ld, ts := newLeader(t)
-	ld.SnapshotChunkBytes = 512
+	ld.chunkBytes = 512
 	fl := &flakyLeader{inner: tsHandler(ts), cuts: []int{700}}
 	// After the torn first transfer, the leader moves on: the partial chunks
 	// describe a snapshot version that no longer exists, so the resume must
@@ -218,7 +220,7 @@ func TestBootstrapFailsWithoutProgress(t *testing.T) {
 	// A leader that never delivers a single chunk must fail the bootstrap
 	// (bounded retries), not spin forever.
 	_, ld, ts := newLeader(t)
-	ld.SnapshotChunkBytes = 512
+	ld.chunkBytes = 512
 	fl := &flakyLeader{inner: tsHandler(ts), cuts: []int{0, 0, 0, 0, 0, 0, 0, 0}}
 	proxy := httptest.NewServer(fl)
 	defer proxy.Close()
@@ -236,32 +238,55 @@ func TestBootstrapFailsWithoutProgress(t *testing.T) {
 	}
 }
 
-func TestRawBootstrapToggle(t *testing.T) {
-	leader, _, ts := newLeader(t)
-	f := newFollower(ts)
-	f.RawBootstrap = true
-	if err := f.Bootstrap(context.Background()); err != nil {
-		t.Fatal(err)
+func TestBootstrapRejectsUnframedSnapshot(t *testing.T) {
+	// A leader answering /repl/snapshot with the bare persist codec — a 200
+	// whose body carries no chunk frames — must fail the bootstrap once the
+	// no-progress guard fires, and must not install anything.
+	_, ld, _ := newLeader(t)
+	var requests atomic.Int32
+	unframed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		buf, version, err := ld.snapshotBytes()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
+		w.Header().Set(SnapshotSizeHeader, strconv.Itoa(len(buf)))
+		w.Write(buf) //nolint:errcheck // test server
+	})
+	proxy := httptest.NewServer(unframed)
+	defer proxy.Close()
+
+	f := newFollower(proxy)
+	done := make(chan error, 1)
+	go func() { done <- f.Bootstrap(context.Background()) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("bootstrap from an unframed snapshot body reported success")
+		}
+		t.Logf("unframed snapshot rejected: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("bootstrap from an unframed snapshot body did not terminate")
 	}
-	if f.Version() != leader.Version() {
-		t.Fatalf("raw bootstrap version %d, leader at %d", f.Version(), leader.Version())
+	if f.Server() != nil {
+		t.Error("failed bootstrap installed a replica server")
 	}
-	st := f.BootstrapStats()
-	if st.WireBytes == 0 || st.WireBytes != st.RawBytes {
-		t.Errorf("raw bootstrap should move exactly the codec bytes, got wire %d raw %d",
-			st.WireBytes, st.RawBytes)
+	if st := f.Status(); st.State != "bootstrapping" || st.Version != 0 {
+		t.Errorf("status after failed bootstrap = %+v, want bootstrapping at version 0", st)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Errorf("unframed leader saw %d snapshot requests, want 2 (one retry, then the no-progress guard)", n)
 	}
 }
 
 func TestSnapshotEndpointProtocol(t *testing.T) {
-	_, _, ts := newLeader(t)
-	get := func(path, acceptEnc string) *http.Response {
+	leader, _, ts := newLeader(t)
+	get := func(path string) *http.Response {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
-		if acceptEnc != "" {
-			req.Header.Set("Accept-Encoding", acceptEnc)
-		}
-		resp, err := http.DefaultTransport.RoundTrip(req) // no implicit gzip header
+		resp, err := http.DefaultTransport.RoundTrip(req) // no implicit Accept-Encoding
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,40 +294,47 @@ func TestSnapshotEndpointProtocol(t *testing.T) {
 		return resp
 	}
 
-	legacy := get("/repl/snapshot", "")
-	if legacy.StatusCode != http.StatusOK || legacy.Header.Get(SnapshotChunkedHeader) != "" {
-		t.Errorf("plain snapshot = %d with chunked header %q, want raw 200",
-			legacy.StatusCode, legacy.Header.Get(SnapshotChunkedHeader))
+	// A bare request — no query, no Accept-Encoding — still gets chunk
+	// frames, and they reassemble to exactly the advertised raw size.
+	bare := get("/repl/snapshot")
+	if bare.StatusCode != http.StatusOK {
+		t.Fatalf("bare snapshot request = %d, want 200", bare.StatusCode)
 	}
-	if legacy.ContentLength <= 0 {
-		t.Errorf("plain snapshot lost its Content-Length (%d)", legacy.ContentLength)
+	size, err := strconv.Atoi(bare.Header.Get(SnapshotSizeHeader))
+	if err != nil {
+		t.Fatalf("bare snapshot response lacks a size header: %v", err)
+	}
+	cur := bare.Header.Get(VersionHeader)
+	if cur != strconv.FormatUint(leader.Version(), 10) {
+		t.Errorf("snapshot version header = %q, leader at %d", cur, leader.Version())
+	}
+	var raw []byte
+	for {
+		chunk, _, err := persist.ReadChunk(bare.Body)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("bare snapshot body is not chunk frames: %v", err)
+		}
+		raw = append(raw, chunk...)
+	}
+	if len(raw) != size {
+		t.Fatalf("frames reassembled to %d bytes, %s says %d", len(raw), SnapshotSizeHeader, size)
+	}
+	if sn, err := persist.Unmarshal(raw); err != nil {
+		t.Errorf("reassembled snapshot does not decode: %v", err)
+	} else if sn.Lake.Version() != leader.Version() {
+		t.Errorf("reassembled snapshot at version %d, leader at %d", sn.Lake.Version(), leader.Version())
 	}
 
-	chunked := get("/repl/snapshot?chunked=1", "gzip")
-	if chunked.Header.Get(SnapshotChunkedHeader) == "" || chunked.Header.Get(SnapshotEncodingHeader) != "gzip" {
-		t.Errorf("chunked gzip request got headers chunked=%q encoding=%q",
-			chunked.Header.Get(SnapshotChunkedHeader), chunked.Header.Get(SnapshotEncodingHeader))
-	}
-	if chunked.Header.Get(SnapshotSizeHeader) == "" || chunked.Header.Get(VersionHeader) == "" {
-		t.Error("chunked response is missing size or version headers")
-	}
-
-	identity := get("/repl/snapshot?chunked=1", "identity")
-	if identity.Header.Get(SnapshotEncodingHeader) != "identity" {
-		t.Errorf("identity request negotiated %q", identity.Header.Get(SnapshotEncodingHeader))
-	}
-	if q0 := get("/repl/snapshot?chunked=1", "gzip;q=0"); q0.Header.Get(SnapshotEncodingHeader) != "identity" {
-		t.Errorf("gzip;q=0 negotiated %q", q0.Header.Get(SnapshotEncodingHeader))
-	}
-
-	if resp := get("/repl/snapshot?chunked=1&offset=512", ""); resp.StatusCode != http.StatusBadRequest {
+	if resp := get("/repl/snapshot?offset=512"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("offset without version = %d, want 400", resp.StatusCode)
 	}
-	if resp := get("/repl/snapshot?chunked=1&offset=512&version=99999", ""); resp.StatusCode != http.StatusConflict {
+	if resp := get("/repl/snapshot?offset=512&version=99999"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("offset at a stale version = %d, want 409", resp.StatusCode)
 	}
-	cur := chunked.Header.Get(VersionHeader)
-	if resp := get("/repl/snapshot?chunked=1&offset=7&version="+cur, ""); resp.StatusCode != http.StatusConflict {
+	if resp := get("/repl/snapshot?offset=7&version=" + cur); resp.StatusCode != http.StatusConflict {
 		t.Errorf("misaligned offset = %d, want 409", resp.StatusCode)
 	}
 }

@@ -33,14 +33,15 @@ var ErrDiverged = fmt.Errorf("repl: follower state diverged from the leader")
 const DefaultMaxRetryDelay = 30 * time.Second
 
 // Follower replicates a leader's lake: it bootstraps from /repl/snapshot
-// (chunked, per-chunk-gzipped and resumable by default — a transfer torn at
-// raw offset N re-requests from N instead of starting over), then tails
-// /repl/changes and applies each burst through serve.Apply — the same
-// validation and incremental-rebuild path the leader's writes took, so
-// replica state is bit-identical at every version. It implements
-// http.Handler, serving the read endpoints from its current replica (503
-// until the first bootstrap completes, except /repl/status, which always
-// answers) and rejecting mutations (the replica server is read-only).
+// (chunked, CRC'd, gzipped per chunk where that pays, and resumable — a
+// transfer torn at raw offset N re-requests from N instead of starting
+// over), then tails /repl/changes and applies each burst through
+// serve.Apply — the same validation and incremental-rebuild path the
+// leader's writes took, so replica state is bit-identical at every version.
+// It implements http.Handler, serving the read endpoints from its current
+// replica (503 until the first bootstrap completes, except /repl/status,
+// which always answers) and rejecting mutations (the replica server is
+// read-only).
 type Follower struct {
 	// Leader is the leader's base URL, e.g. "http://10.0.0.1:8080".
 	Leader string
@@ -67,11 +68,6 @@ type Follower struct {
 	// the read-heavy deployment shape, so pre-warming after every applied
 	// burst is where the warmer pays off most.
 	WarmMeasures []domainnet.Measure
-	// RawBootstrap forces the legacy whole-snapshot raw stream instead of
-	// the chunked resumable transfer: the bench baseline, and an escape
-	// hatch. (A leader predating the chunk protocol needs no flag — the
-	// default path detects the raw response and decodes it as-is.)
-	RawBootstrap bool
 	// Obs, when non-nil, is the endpoint-accounting registry shared with
 	// every replica server this follower installs. Nil gets a private
 	// registry created on first use. Either way the registry outlives
@@ -288,63 +284,16 @@ func (f *Follower) install(sn *persist.Snapshot) {
 // Bootstrap fetches a full snapshot from the leader and replaces the
 // replica with it. Deltas past the snapshot arrive through the next Poll.
 //
-// The default transfer is chunked: the leader frames the snapshot codec
-// into CRC'd, individually gzipped chunks, and a stream torn mid-transfer
-// is re-requested from the last whole chunk's raw offset instead of from
-// zero. Internal resume attempts must make progress — two failures in a row
-// with no new bytes in between surface the error to the caller, whose
-// backoff takes over.
+// The leader frames the snapshot codec into CRC'd chunks, each gzipped when
+// that shrinks it, and a stream torn mid-transfer is re-requested from the
+// last whole chunk's raw offset instead of from zero. Internal resume
+// attempts must make progress — two failures in a row with no new bytes in
+// between surface the error to the caller, whose backoff takes over.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.bootWire.Store(0)
 	f.bootRaw.Store(0)
 	f.bootResumes.Store(0)
 	f.bootRestarts.Store(0)
-	if f.RawBootstrap {
-		return f.bootstrapRaw(ctx)
-	}
-	return f.bootstrapChunked(ctx)
-}
-
-// bootstrapRaw is the legacy transfer: one unframed, uncompressed codec
-// stream, all-or-nothing.
-func (f *Follower) bootstrapRaw(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.Leader+"/repl/snapshot", nil)
-	if err != nil {
-		return fmt.Errorf("repl: %w", err)
-	}
-	resp, err := f.snapshotClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("repl: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
-	}
-	f.observeLeader(resp.Header)
-	sn, err := persist.Decode(countReader{resp.Body, &f.bootWire})
-	if err != nil {
-		return err
-	}
-	f.bootRaw.Store(f.bootWire.Load()) // unframed: wire bytes are codec bytes
-	f.install(sn)
-	return nil
-}
-
-// countReader counts bytes read into an atomic — the wire-byte meter of the
-// raw bootstrap path.
-type countReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (f *Follower) bootstrapChunked(ctx context.Context) error {
 	client := f.snapshotClient()
 	var (
 		buf     []byte // whole chunks accumulated so far (always chunk-aligned)
@@ -359,16 +308,15 @@ func (f *Follower) bootstrapChunked(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		url := f.Leader + "/repl/snapshot?chunked=1"
+		url := f.Leader + "/repl/snapshot"
 		resuming := len(buf) > 0
 		if resuming {
-			url += fmt.Sprintf("&offset=%d&version=%d", len(buf), version)
+			url += fmt.Sprintf("?offset=%d&version=%d", len(buf), version)
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return fmt.Errorf("repl: %w", err)
 		}
-		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := client.Do(req)
 		if err != nil {
 			if !progressed {
@@ -399,19 +347,6 @@ func (f *Follower) bootstrapChunked(ctx context.Context) error {
 			return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, body)
 		}
 		f.observeLeader(resp.Header)
-		if resp.Header.Get(SnapshotChunkedHeader) == "" {
-			// A leader predating the chunk protocol ignores the query and
-			// streams the raw codec; decode it as-is (resume never arises —
-			// this branch is always the first attempt).
-			sn, err := persist.Decode(countReader{resp.Body, &f.bootWire})
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			f.bootRaw.Store(f.bootWire.Load())
-			f.install(sn)
-			return nil
-		}
 		if n, err := strconv.Atoi(resp.Header.Get(SnapshotSizeHeader)); err == nil {
 			total = n
 		}

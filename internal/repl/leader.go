@@ -12,12 +12,12 @@
 //	                                   burst past <version>, 204 when caught
 //	                                   up, 410 Gone when <version> is behind
 //	                                   the log horizon (fetch a snapshot)
-//	GET /repl/snapshot                 streams the persist codec (the same
-//	                                   bytes a disk checkpoint writes);
-//	                                   with ?chunked=1[&offset=N&version=V]
-//	                                   the codec is framed into CRC'd,
-//	                                   per-chunk-gzipped chunks resumable at
-//	                                   raw offset N (409 when V moved)
+//	GET /repl/snapshot[?offset=N&version=V]
+//	                                   streams the persist codec (the same
+//	                                   bytes a disk checkpoint writes) framed
+//	                                   into CRC'd chunks, each gzipped when
+//	                                   that shrinks it; resumable at raw
+//	                                   offset N (409 when V moved)
 //	GET /repl/status                   served by followers: applied version,
 //	                                   last seen leader version, lag, and
 //	                                   bootstrap progress — the read-router's
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,20 +48,9 @@ import (
 // It is the same header the serving layer stamps on every read response.
 const VersionHeader = serve.VersionHeader
 
-// Headers of the chunked snapshot protocol.
-const (
-	// SnapshotSizeHeader carries the raw (uncompressed, unframed) snapshot
-	// byte count, so a resuming follower knows when it has everything.
-	SnapshotSizeHeader = "X-Domainnet-Snapshot-Size"
-	// SnapshotChunkedHeader marks a response body framed with the persist
-	// chunk codec; its absence means a legacy raw codec stream.
-	SnapshotChunkedHeader = "X-Domainnet-Snapshot-Chunked"
-	// SnapshotEncodingHeader reports the per-chunk payload encoding the
-	// leader negotiated from the request's Accept-Encoding (gzip or
-	// identity). Deliberately not Content-Encoding: the body is not one
-	// gzip stream, and stock HTTP middleware must not try to inflate it.
-	SnapshotEncodingHeader = "X-Domainnet-Snapshot-Encoding"
-)
+// SnapshotSizeHeader carries the raw (uncompressed, unframed) snapshot byte
+// count, so a resuming follower knows when it has everything.
+const SnapshotSizeHeader = "X-Domainnet-Snapshot-Size"
 
 // DefaultPollTimeout bounds how long /repl/changes holds an idle long-poll
 // before answering 204; followers re-poll immediately, so the value trades
@@ -85,10 +73,10 @@ type Leader struct {
 	// TailCache overrides DefaultTailCache when positive. Set before the
 	// first commit.
 	TailCache int
-	// SnapshotChunkBytes overrides persist.DefaultChunkBytes for the chunked
-	// snapshot stream when positive. Tests use small chunks to exercise
-	// resume without megabyte fixtures; production leaves the default.
-	SnapshotChunkBytes int
+	// chunkBytes overrides persist.DefaultChunkBytes for the snapshot
+	// stream when positive: tests use small chunks to exercise resume
+	// without megabyte fixtures.
+	chunkBytes int
 
 	mu   sync.Mutex
 	ch   chan struct{} // closed and replaced on every commit (broadcast)
@@ -326,36 +314,14 @@ func (ld *Leader) snapshotBytes() ([]byte, uint64, error) {
 	return buf, version, nil
 }
 
-// acceptsGzip reports whether an Accept-Encoding header admits gzip: a
-// "gzip" or "*" member whose quality is not explicitly zero.
-func acceptsGzip(header string) bool {
-	for header != "" {
-		var part string
-		part, header, _ = strings.Cut(header, ",")
-		name, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if name = strings.TrimSpace(name); name != "gzip" && name != "*" {
-			continue
-		}
-		if q, ok := strings.CutPrefix(strings.TrimSpace(params), "q="); ok {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(q), 64); err == nil && v == 0 {
-				continue
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // handleSnapshot streams the leader's full state in the persist codec,
 // marshaled at most once per version (snapshotBytes); the network write
 // happens outside the server's write lock.
 //
-// A plain request gets the raw codec with a Content-Length, exactly as
-// before. With ?chunked=1 the body is framed by the persist chunk codec —
-// every chunk independently CRC'd and, when the request advertises
-// Accept-Encoding: gzip, independently compressed — and ?offset=N&version=V
-// resumes a torn transfer at raw offset N. The answer is 409 Conflict when
-// the leader's snapshot has moved past V or N does not land on a chunk
+// The body is framed by the persist chunk codec — every chunk independently
+// CRC'd and gzipped when that shrinks it — and ?offset=N&version=V resumes a
+// torn transfer at raw offset N. The answer is 409 Conflict when the
+// leader's snapshot has moved past V or N does not land on a chunk
 // boundary; the follower restarts from offset zero.
 func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	buf, version, err := ld.snapshotBytes()
@@ -367,12 +333,7 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
 	w.Header().Set(SnapshotSizeHeader, strconv.Itoa(len(buf)))
-	if q.Get("chunked") == "" {
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.Write(buf) //nolint:errcheck // the response is already committed
-		return
-	}
-	chunk := ld.SnapshotChunkBytes
+	chunk := ld.chunkBytes
 	if chunk <= 0 {
 		chunk = persist.DefaultChunkBytes
 	}
@@ -402,12 +363,5 @@ func (ld *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	compress := acceptsGzip(r.Header.Get("Accept-Encoding"))
-	w.Header().Set(SnapshotChunkedHeader, "1")
-	enc := "identity"
-	if compress {
-		enc = "gzip"
-	}
-	w.Header().Set(SnapshotEncodingHeader, enc)
-	persist.WriteChunked(w, buf, offset, chunk, compress) //nolint:errcheck // the response is already committed
+	persist.WriteChunked(w, buf, offset, chunk) //nolint:errcheck // the response is already committed
 }
